@@ -255,6 +255,38 @@ func BenchmarkConvForwardGflops(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
+// BenchmarkConvBackwardGflops measures the GEMM-lowered backward-data and
+// backward-filter convolutions on BenchmarkConvForwardGflops's shape, with
+// GFLOP/s and allocs/op (zero when warm).
+func BenchmarkConvBackwardGflops(b *testing.B) {
+	x := tensor.New(4, 16, 64, 64)
+	x.FillPattern(0.4)
+	w := tensor.New(32, 16, 3, 3)
+	w.FillPattern(0.6)
+	dy := tensor.New(4, 32, 64, 64)
+	dy.FillPattern(0.5)
+	dx := tensor.New(4, 16, 64, 64)
+	dw := tensor.New(32, 16, 3, 3)
+	flops := 2.0 * 4 * 32 * 16 * 3 * 3 * 64 * 64
+	for _, bc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"data", func() { kernels.ConvBackwardData(dy, w, dx, 1, 1) }},
+		{"filter", func() { kernels.ConvBackwardFilter(x, dy, dw, 1, 1, false) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.fn()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.fn()
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 // BenchmarkKernelThroughputTable regenerates the machine-local kernel
 // throughput table (GFLOP/s + allocs/op) alongside the paper tables.
 func BenchmarkKernelThroughputTable(b *testing.B) {

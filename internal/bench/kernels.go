@@ -26,9 +26,9 @@ type BenchRecord struct {
 }
 
 // KernelThroughput measures the real compute-kernel substrate on this
-// machine: SGEMM and convolution-forward GFLOP/s plus steady-state
-// allocations per call. These are the C(n,c,h,w,f) inputs every modeled
-// number ultimately stands on — the paper's premise is that fine-grained
+// machine: SGEMM and convolution forward, backward-data and backward-filter
+// GFLOP/s plus steady-state allocations per call. These are the
+// C(n,c,h,w,f) inputs every modeled number ultimately stands on — the paper's premise is that fine-grained
 // parallelism pays off only when the local kernels are fast enough that
 // communication, not arithmetic, bounds the step.
 func KernelThroughput() *Table {
@@ -86,6 +86,11 @@ func KernelThroughputRecords() (*Table, []BenchRecord) {
 	flops := 2.0 * 4 * 32 * 16 * 3 * 3 * 64 * 64
 	row("ConvForward/direct", convShape, flops, func() { kernels.ConvForward(x, w, nil, y, 1, 1, kernels.ConvDirect) })
 	row("ConvForward/im2col", convShape, flops, func() { kernels.ConvForward(x, w, nil, y, 1, 1, kernels.ConvIm2col) })
+	// The training backward pass on the same shape, y standing in for dy.
+	dx := tensor.New(4, 16, 64, 64)
+	dw := tensor.New(32, 16, 3, 3)
+	row("ConvBackwardData", convShape, flops, func() { kernels.ConvBackwardData(y, w, dx, 1, 1) })
+	row("ConvBackwardFilter", convShape, flops, func() { kernels.ConvBackwardFilter(x, y, dw, 1, 1, false) })
 
 	// The serving conv path: one micro-batch lowered onto one GEMM, legacy
 	// pack-on-the-fly vs prepacked weights vs prepacked with the fused

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -148,15 +149,50 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-func TestConvBackwardDataScatterZeroAllocs(t *testing.T) {
-	dy := tensor.New(2, 16, 8, 8)
+// assertZeroAllocsWorkers runs assertZeroAllocs serially and on the
+// worker pool.
+func assertZeroAllocsWorkers(t *testing.T, name string, fn func()) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		old := SetMaxWorkers(workers)
+		assertZeroAllocs(t, fmt.Sprintf("%s/workers=%d", name, workers), fn)
+		SetMaxWorkers(old)
+	}
+}
+
+func TestConvBackwardDataRegionZeroAllocs(t *testing.T) {
+	// The distributed call shape: the bottom-right 64x64 quarter of a
+	// 128x128 input, reading a dy region with one halo row and column. Its
+	// column matrix exceeds bwdDataColMax, so the row-chunked path (and its
+	// dy row copy) runs too.
+	dy := tensor.New(1, 8, 65, 65)
 	dy.FillPattern(0.1)
-	w := tensor.New(16, 8, 3, 3)
+	w := tensor.New(8, 16, 3, 3)
 	w.FillPattern(0.2)
-	dx := tensor.New(2, 8, 8, 8)
-	assertZeroAllocs(t, "ConvBackwardDataScatter", func() {
-		ConvBackwardDataScatter(dy, w, dx, 1, 1)
+	dx := tensor.New(1, 16, 64, 64)
+	assertZeroAllocsWorkers(t, "ConvBackwardDataRegion", func() {
+		ConvBackwardDataRegion(dy, w, dx, 1, 1, 64, 64, 63, 63)
 	})
+}
+
+func TestConvBackwardFilterZeroAllocs(t *testing.T) {
+	x := tensor.New(2, 8, 32, 32)
+	x.FillPattern(0.1)
+	dy := tensor.New(2, 16, 32, 32)
+	dy.FillPattern(0.2)
+	dw := tensor.New(16, 8, 3, 3)
+	for _, acc := range []bool{false, true} {
+		assertZeroAllocsWorkers(t, fmt.Sprintf("ConvBackwardFilter/accumulate=%v", acc), func() {
+			ConvBackwardFilter(x, dy, dw, 1, 1, acc)
+		})
+	}
+}
+
+func TestBiasBackwardZeroAllocs(t *testing.T) {
+	dy := tensor.New(2, 16, 32, 32)
+	dy.FillPattern(0.3)
+	db := make([]float32, 16)
+	assertZeroAllocsWorkers(t, "BiasBackward", func() { BiasBackward(dy, db, false) })
 }
 
 func TestConv3DZeroAllocs(t *testing.T) {

@@ -283,11 +283,22 @@ func im2col(x []float32, c, h, w, k, stride, pad, oh, ow int, col []float32) {
 	im2colJobPool.Put(j)
 }
 
+// bwdDataColMax caps the column buffer of ConvBackwardDataRegion, in floats
+// (512 KiB). Larger problems run the column GEMM and the col2im gather over
+// chunks of dx rows. The buffer then stays cache-resident between the GEMM
+// that writes it and the gather that reads it, and small enough to share
+// workspace size classes with the forward im2col and pack panels instead
+// of adding a large class of its own to the training step's heap.
+const bwdDataColMax = 1 << 17
+
 // ConvBackwardDataRegion computes the error signal dL/dx (Eq. 3) for a
 // rectangular region of the global input, given a region of the global
-// output gradient. It is the gather formulation: each input-gradient element
-// sums the contributions of every output element whose window covers it, so
-// no cross-region reduction is needed afterwards.
+// output gradient. Per sample it lowers onto the packed GEMM: the column
+// matrix col[C*K*K, P] = Wᵀ · dy[F, P], then a col2im gather in which each
+// dx element sums its (kh, kw) contributions in a fixed order. No
+// cross-region reduction is needed afterwards, and because every column
+// element is computed on the always-packed path (gemmStable), each dx
+// element is bitwise independent of the region bounds.
 //
 // dx covers global input rows [xLoH, xLoH+dxH) and columns [xLoW, xLoW+dxW);
 // dy covers global output rows [yLoH, yLoH+dyH) and columns [yLoW, ...).
@@ -305,84 +316,122 @@ func ConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, y
 		panic(fmt.Sprintf("kernels: dx shape %v incompatible with dy %v and w %v", xs, ds, ws))
 	}
 	dxH, dxW := xs[2], xs[3]
-	j := bwdDataJobPool.Get().(*bwdDataJob)
-	*j = bwdDataJob{
-		dyd: dy.Data(), wwd: w.Data(), dxd: dx.Data(),
-		c: c, f: f, k: k, stride: stride, pad: pad,
-		dyH: dyH, dyW: dyW, dxH: dxH, dxW: dxW,
-		xLoH: xLoH, xLoW: xLoW, yLoH: yLoH, yLoW: yLoW,
+	dyd, wwd, dxd := dy.Data(), w.Data(), dx.Data()
+	dyPlane, dxPlane := dyH*dyW, dxH*dxW
+	if k == 1 && pad == 0 && stride == 1 && dyH == dxH && dyW == dxW && yLoH == xLoH && yLoW == xLoW {
+		// A 1x1 convolution over matching regions: dy[n] is already the
+		// [F, P] operand and dx[n] the [C, P] result, so no column buffer.
+		for ni := 0; ni < n; ni++ {
+			gemmStable(true, false, c, dxPlane, f, 1, wwd, dyd[ni*f*dyPlane:(ni+1)*f*dyPlane],
+				0, dxd[ni*c*dxPlane:(ni+1)*c*dxPlane], nil, 0)
+		}
+		return
 	}
-	parallelChunks(n*c, j)
-	*j = bwdDataJob{}
-	bwdDataJobPool.Put(j)
-}
-
-// bwdDataJob is the pooled chunk worker of ConvBackwardDataRegion, so the
-// warm backward-data path dispatches with no per-call closure allocation.
-type bwdDataJob struct {
-	dyd, wwd, dxd          []float32
-	c, f, k, stride, pad   int
-	dyH, dyW, dxH, dxW     int
-	xLoH, xLoW, yLoH, yLoW int
-}
-
-var bwdDataJobPool = sync.Pool{New: func() any { return new(bwdDataJob) }}
-
-func (jb *bwdDataJob) RunChunk(lo, hi int) {
-	c, f, k, stride, pad := jb.c, jb.f, jb.k, jb.stride, jb.pad
-	dyH, dyW, dxH, dxW := jb.dyH, jb.dyW, jb.dxH, jb.dxW
-	xLoH, xLoW, yLoH, yLoW := jb.xLoH, jb.xLoW, jb.yLoH, jb.yLoW
-	dyd, wwd, dxd := jb.dyd, jb.wwd, jb.dxd
-	fStrideDy := dyH * dyW
-	{
-		for nc := lo; nc < hi; nc++ {
-			ni, ci := nc/c, nc%c
-			dxBase := (ni*c + ci) * dxH * dxW
-			dyBaseN := ni * f * fStrideDy
-			for ihl := 0; ihl < dxH; ihl++ {
-				ih := xLoH + ihl // global input row
-				dxRow := dxd[dxBase+ihl*dxW : dxBase+(ihl+1)*dxW]
-				for i := range dxRow {
-					dxRow[i] = 0
+	if n*c*dxPlane == 0 {
+		return
+	}
+	// A chunk of r dx rows reads at most ceil((r+k-1)/stride) dy rows; rows
+	// is the largest chunk whose column matrix fits in bwdDataColMax.
+	ckk := c * k * k
+	rows := max(1, bwdDataColMax/max(1, ckk*dyW)*stride-k+1)
+	colRows := min(dyH, (rows+k-1+stride-1)/stride)
+	colBuf := defaultWS.Get(ckk * colRows * dyW)
+	var dycBuf *[]float32
+	j := col2imJobPool.Get().(*col2imJob)
+	*j = col2imJob{
+		col: *colBuf, k: k, stride: stride, pad: pad,
+		dxH: dxH, dxW: dxW, dyW: dyW, xLoH: xLoH, xLoW: xLoW, yLoW: yLoW,
+	}
+	for ni := 0; ni < n; ni++ {
+		dyn := dyd[ni*f*dyPlane : (ni+1)*f*dyPlane]
+		j.dx = dxd[ni*c*dxPlane : (ni+1)*c*dxPlane]
+		for r0 := 0; r0 < dxH; r0 += rows {
+			r1 := min(r0+rows, dxH)
+			// Local dy rows [o0, o1) hold every output row touching dx rows
+			// [r0, r1): global oy from ceil((ih0+pad-k+1)/s) to
+			// floor((ih1-1+pad)/s).
+			o0 := max(0, ceilDiv(xLoH+r0+pad-k+1, stride)-yLoH)
+			o1 := min(dyH, floorDiv(xLoH+r1-1+pad, stride)+1-yLoH)
+			j.r0, j.r1, j.oyLo, j.oyN = r0, r1, yLoH+o0, max(0, o1-o0)
+			if cols := j.oyN * dyW; cols > 0 {
+				src := dyn
+				if j.oyN < dyH {
+					if dycBuf == nil {
+						dycBuf = defaultWS.Get(f * colRows * dyW)
+					}
+					src = *dycBuf
+					for fi := 0; fi < f; fi++ {
+						copy(src[fi*cols:(fi+1)*cols], dyn[fi*dyPlane+o0*dyW:fi*dyPlane+o1*dyW])
+					}
 				}
-				for kh := 0; kh < k; kh++ {
-					t := ih + pad - kh
-					if t < 0 || t%stride != 0 {
-						continue
-					}
-					oy := t / stride
-					oyl := oy - yLoH
-					if oyl < 0 || oyl >= dyH {
-						continue
-					}
-					for kw := 0; kw < k; kw++ {
-						for iwl := 0; iwl < dxW; iwl++ {
-							iw := xLoW + iwl
-							u := iw + pad - kw
-							if u < 0 || u%stride != 0 {
-								continue
-							}
-							ox := u / stride
-							oxl := ox - yLoW
-							if oxl < 0 || oxl >= dyW {
-								continue
-							}
-							var acc float32
-							dyOff := dyBaseN + oyl*dyW + oxl
-							wOff := (ci*k+kh)*k + kw
-							for fi := 0; fi < f; fi++ {
-								acc += dyd[dyOff] * wwd[wOff]
-								dyOff += fStrideDy
-								wOff += c * k * k
-							}
-							dxRow[iwl] += acc
-						}
+				gemmStable(true, false, ckk, cols, f, 1, wwd, src, 0, j.col, nil, 0)
+			}
+			parallelChunks(c, j)
+		}
+	}
+	*j = col2imJob{}
+	col2imJobPool.Put(j)
+	defaultWS.Put(colBuf)
+	defaultWS.Put(dycBuf)
+}
+
+// col2imJob gathers dx rows [r0, r1) of one sample, channels [lo, hi), from
+// a column matrix covering global output rows [oyLo, oyLo+oyN); pooled so
+// the warm backward-data path dispatches with no per-call allocation.
+type col2imJob struct {
+	col, dx           []float32
+	k, stride, pad    int
+	dxH, dxW, dyW     int
+	xLoH, xLoW, yLoW  int
+	r0, r1, oyLo, oyN int
+}
+
+var col2imJobPool = sync.Pool{New: func() any { return new(col2imJob) }}
+
+func (j *col2imJob) RunChunk(clo, chi int) {
+	k, s, pad := j.k, j.stride, j.pad
+	dxW, dyW, xLoW, yLoW := j.dxW, j.dyW, j.xLoW, j.yLoW
+	cols := j.oyN * dyW
+	for ci := clo; ci < chi; ci++ {
+		for r := j.r0; r < j.r1; r++ {
+			dxRow := j.dx[(ci*j.dxH+r)*dxW : (ci*j.dxH+r+1)*dxW]
+			clear(dxRow)
+			t := j.xLoH + r + pad // global input row + pad
+			for kh := 0; kh < k; kh++ {
+				if (t-kh)%s != 0 {
+					continue
+				}
+				oyl := (t-kh)/s - j.oyLo
+				if oyl < 0 || oyl >= j.oyN {
+					continue
+				}
+				for kw := 0; kw < k; kw++ {
+					colRow := j.col[((ci*k+kh)*k+kw)*cols+oyl*dyW:][:dyW]
+					// Output columns whose tap kw lands inside dx's columns.
+					oxA := max(yLoW, ceilDiv(xLoW+pad-kw, s))
+					oxB := min(yLoW+dyW, floorDiv(xLoW+dxW-1+pad-kw, s)+1)
+					ix := oxA*s - pad + kw - xLoW
+					for ox := oxA; ox < oxB; ox++ {
+						dxRow[ix] += colRow[ox-yLoW]
+						ix += s
 					}
 				}
 			}
 		}
 	}
 }
+
+// floorDiv is floor(a/b) for b > 0 and any sign of a.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+// ceilDiv is ceil(a/b) for b > 0 and any sign of a.
+func ceilDiv(a, b int) int { return floorDiv(a+b-1, b) }
 
 // ConvBackwardData computes the full error signal dL/dx (Eq. 3) for a
 // sequential (single-device) layer.
@@ -390,79 +439,15 @@ func ConvBackwardData(dy, w, dx *tensor.Tensor, stride, pad int) {
 	ConvBackwardDataRegion(dy, w, dx, stride, pad, 0, 0, 0, 0)
 }
 
-// ConvBackwardDataScatter is the scatter formulation of Eq. 3 (zero dx, then
-// accumulate every output element's contributions into the input positions
-// its window covered). Sequential only; kept as a cross-check and ablation
-// reference for the gather kernel.
-func ConvBackwardDataScatter(dy, w, dx *tensor.Tensor, stride, pad int) {
-	ds, ws, xs := dy.Shape(), w.Shape(), dx.Shape()
-	n, f, oh, ow := ds[0], ds[1], ds[2], ds[3]
-	c, k := ws[1], ws[2]
-	h, wd := xs[2], xs[3]
-	dx.Zero()
-	j := scatterJobPool.Get().(*scatterJob)
-	*j = scatterJob{
-		dyd: dy.Data(), wwd: w.Data(), dxd: dx.Data(),
-		f: f, c: c, h: h, wd: wd, oh: oh, ow: ow, k: k,
-		stride: stride, pad: pad,
-	}
-	// Parallel over samples only: scatter into dx[n] races across filters.
-	parallelChunks(n, j)
-	*j = scatterJob{}
-	scatterJobPool.Put(j)
-}
-
-// scatterJob is the pooled chunk worker of ConvBackwardDataScatter, so the
-// scatter cross-check dispatches with no per-call closure allocation.
-type scatterJob struct {
-	dyd, wwd, dxd          []float32
-	f, c, h, wd, oh, ow, k int
-	stride, pad            int
-}
-
-var scatterJobPool = sync.Pool{New: func() any { return new(scatterJob) }}
-
-func (j *scatterJob) RunChunk(nlo, nhi int) {
-	f, c, h, wd, oh, ow, k := j.f, j.c, j.h, j.wd, j.oh, j.ow, j.k
-	stride, pad := j.stride, j.pad
-	for ni := nlo; ni < nhi; ni++ {
-		for fi := 0; fi < f; fi++ {
-			dyBase := (ni*f + fi) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := j.dyd[dyBase+oy*ow+ox]
-					if g == 0 {
-						continue
-					}
-					for ci := 0; ci < c; ci++ {
-						dxBase := (ni*c + ci) * h * wd
-						wBase := (fi*c + ci) * k * k
-						for kh := 0; kh < k; kh++ {
-							iy := oy*stride - pad + kh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kw := 0; kw < k; kw++ {
-								ix := ox*stride - pad + kw
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								j.dxd[dxBase+iy*wd+ix] += g * j.wwd[wBase+kh*k+kw]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // ConvBackwardFilter computes the local weight-gradient contribution (Eq. 2):
 // dw[f,c,a,b] = sum over the samples and output positions present in dy of
-// dy * x. When accumulate is false dw is overwritten, otherwise added to
-// (used when looping over micro-batches). x and dy may be local shards: in
-// distributed operation x is the halo-extended buffer and pad must be 0; the
-// global sum is completed by an allreduce over all processors (Section III-A).
+// dy * x. Per sample it lowers onto the packed GEMM as
+// dw[F, C*K*K] += dy[F, P] · colᵀ, with col the forward im2col of x (a 1x1,
+// stride-1, unpadded convolution uses x itself). When accumulate is false dw
+// is overwritten, otherwise added to (used when looping over micro-batches).
+// x and dy may be local shards: in distributed operation x is the
+// halo-extended buffer and pad must be 0; the global sum is completed by an
+// allreduce over all processors (Section III-A).
 func ConvBackwardFilter(x, dy, dw *tensor.Tensor, stride, pad int, accumulate bool) {
 	xs, ds, ws := x.Shape(), dy.Shape(), dw.Shape()
 	n, c, h, wd := xs[0], xs[1], xs[2], xs[3]
@@ -471,65 +456,33 @@ func ConvBackwardFilter(x, dy, dw *tensor.Tensor, stride, pad int, accumulate bo
 	if ds[0] != n || ws[0] != f || ws[1] != c || ws[3] != k {
 		panic(fmt.Sprintf("kernels: bwd-filter shapes x=%v dy=%v dw=%v inconsistent", xs, ds, ws))
 	}
-	if !accumulate {
-		dw.Zero()
-	}
-	j := bwdFilterJobPool.Get().(*bwdFilterJob)
-	*j = bwdFilterJob{
-		xd: x.Data(), dyd: dy.Data(), dwd: dw.Data(),
-		n: n, c: c, h: h, wd: wd, f: f, oh: oh, ow: ow, k: k,
-		stride: stride, pad: pad,
-	}
-	parallelChunks(f*c, j)
-	*j = bwdFilterJob{}
-	bwdFilterJobPool.Put(j)
-}
-
-// bwdFilterJob is the pooled chunk worker of ConvBackwardFilter, so the
-// warm filter-gradient path dispatches with no per-call closure allocation.
-type bwdFilterJob struct {
-	xd, dyd, dwd              []float32
-	n, c, h, wd, f, oh, ow, k int
-	stride, pad               int
-}
-
-var bwdFilterJobPool = sync.Pool{New: func() any { return new(bwdFilterJob) }}
-
-func (jb *bwdFilterJob) RunChunk(lo, hi int) {
-	n, c, h, wd, f, oh, ow, k := jb.n, jb.c, jb.h, jb.wd, jb.f, jb.oh, jb.ow, jb.k
-	stride, pad := jb.stride, jb.pad
-	xd, dyd, dwd := jb.xd, jb.dyd, jb.dwd
-	{
-		for fc := lo; fc < hi; fc++ {
-			fi, ci := fc/c, fc%c
-			dwBase := (fi*c + ci) * k * k
-			for ni := 0; ni < n; ni++ {
-				dyBase := (ni*f + fi) * oh * ow
-				xBase := (ni*c + ci) * h * wd
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						var acc float32
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*stride - pad + kh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							dyRow := dyd[dyBase+oy*ow : dyBase+(oy+1)*ow]
-							xRow := xd[xBase+iy*wd : xBase+(iy+1)*wd]
-							ix := -pad + kw
-							for ox := 0; ox < ow; ox++ {
-								if ix >= 0 && ix < wd {
-									acc += dyRow[ox] * xRow[ix]
-								}
-								ix += stride
-							}
-						}
-						dwd[dwBase+kh*k+kw] += acc
-					}
-				}
-			}
+	if n == 0 {
+		if !accumulate {
+			dw.Zero()
 		}
+		return
 	}
+	xd, dyd, dwd := x.Data(), dy.Data(), dw.Data()
+	ckk, plane, xPlane := c*k*k, oh*ow, h*wd
+	var beta float32 // overwrite on the first sample unless accumulating
+	if accumulate {
+		beta = 1
+	}
+	if k == 1 && pad == 0 && stride == 1 && h == oh && wd == ow {
+		for ni := 0; ni < n; ni++ {
+			GemmNT(f, c, plane, 1, dyd[ni*f*plane:(ni+1)*f*plane], xd[ni*c*xPlane:(ni+1)*c*xPlane], beta, dwd)
+			beta = 1
+		}
+		return
+	}
+	colBuf := defaultWS.Get(ckk * plane)
+	col := *colBuf
+	for ni := 0; ni < n; ni++ {
+		im2col(xd[ni*c*xPlane:(ni+1)*c*xPlane], c, h, wd, k, stride, pad, oh, ow, col)
+		GemmNT(f, ckk, plane, 1, dyd[ni*f*plane:(ni+1)*f*plane], col, beta, dwd)
+		beta = 1
+	}
+	defaultWS.Put(colBuf)
 }
 
 // BiasBackward computes db[f] = sum over samples and positions of dy.

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,6 +109,45 @@ func naiveConvBackwardFilter(x, dy *tensor.Tensor, wShape []int, stride, pad int
 	return dw
 }
 
+// convBackwardDataScatter is the scatter formulation of Eq. 3 (zero dx, then
+// accumulate every output element's contributions into the input positions
+// its window covered), a cross-check for the gather kernel in float32.
+func convBackwardDataScatter(dy, w, dx *tensor.Tensor, stride, pad int) {
+	ds, ws, xs := dy.Shape(), w.Shape(), dx.Shape()
+	n, f, oh, ow := ds[0], ds[1], ds[2], ds[3]
+	c, k := ws[1], ws[2]
+	h, wd := xs[2], xs[3]
+	dyd, wwd, dxd := dy.Data(), w.Data(), dx.Data()
+	dx.Zero()
+	for ni := 0; ni < n; ni++ {
+		for fi := 0; fi < f; fi++ {
+			dyBase := (ni*f + fi) * oh * ow
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					g := dyd[dyBase+oy*ow+ox]
+					for ci := 0; ci < c; ci++ {
+						dxBase := (ni*c + ci) * h * wd
+						wBase := (fi*c + ci) * k * k
+						for kh := 0; kh < k; kh++ {
+							iy := oy*stride - pad + kh
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kw := 0; kw < k; kw++ {
+								ix := ox*stride - pad + kw
+								if ix < 0 || ix >= wd {
+									continue
+								}
+								dxd[dxBase+iy*wd+ix] += g * wwd[wBase+kh*k+kw]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 type convCase struct {
 	name                     string
 	n, c, h, w, f, k, s, pad int
@@ -121,6 +161,10 @@ var convCases = []convCase{
 	{"3x3s2", 2, 4, 9, 9, 2, 3, 2, 1},
 	{"nonsquare", 1, 2, 10, 6, 2, 3, 1, 1},
 	{"nopad", 1, 1, 6, 6, 1, 3, 1, 0},
+	{"1x1s2", 2, 4, 9, 9, 3, 1, 2, 0},
+	// Column matrices above bwdDataColMax: backward-data runs in row chunks.
+	{"3x3chunked", 1, 16, 64, 64, 4, 3, 1, 1},
+	{"5x5s2chunked", 1, 16, 96, 96, 4, 5, 2, 2},
 }
 
 func makeConvTensors(tc convCase, seed int64) (x, w *tensor.Tensor, bias []float32) {
@@ -197,7 +241,7 @@ func TestConvBackwardDataScatterMatchesGather(t *testing.T) {
 		gather := tensor.New(x.Shape()...)
 		scatter := tensor.New(x.Shape()...)
 		ConvBackwardData(dy, w, gather, tc.s, tc.pad)
-		ConvBackwardDataScatter(dy, w, scatter, tc.s, tc.pad)
+		convBackwardDataScatter(dy, w, scatter, tc.s, tc.pad)
 		if d := gather.RelDiff(scatter); d > 1e-5 {
 			t.Errorf("%s: gather vs scatter rel diff %g", tc.name, d)
 		}
@@ -237,8 +281,10 @@ func TestConvBackwardFilterAccumulate(t *testing.T) {
 }
 
 func TestConvBackwardDataRegionTilesEqualFull(t *testing.T) {
-	// Computing dx in two horizontal tiles with the region kernel must equal
-	// the full pass — the property the distributed algorithm relies on.
+	// Computing dx tile by tile (split along H and W) with the region
+	// kernel, each tile reading a halo-extended dy region as the distributed
+	// layer passes it, must reproduce the full pass bit for bit — the
+	// property the distributed algorithm relies on.
 	for _, tc := range convCases {
 		x, w, _ := makeConvTensors(tc, 80)
 		oh := (tc.h+2*tc.pad-tc.k)/tc.s + 1
@@ -248,17 +294,28 @@ func TestConvBackwardDataRegionTilesEqualFull(t *testing.T) {
 		want := tensor.New(x.Shape()...)
 		ConvBackwardData(dy, w, want, tc.s, tc.pad)
 
-		split := tc.h / 2
-		for _, piece := range []struct{ lo, hi int }{{0, split}, {split, tc.h}} {
-			dxPart := tensor.New(tc.n, tc.c, piece.hi-piece.lo, tc.w)
-			ConvBackwardDataRegion(dy, w, dxPart, tc.s, tc.pad, piece.lo, 0, 0, 0)
-			for ni := 0; ni < tc.n; ni++ {
-				for ci := 0; ci < tc.c; ci++ {
-					for iy := piece.lo; iy < piece.hi; iy++ {
-						for ix := 0; ix < tc.w; ix++ {
-							g := dxPart.At4(ni, ci, iy-piece.lo, ix)
-							if d := absDiff(g, want.At4(ni, ci, iy, ix)); d > 1e-4 {
-								t.Fatalf("%s: tile dx(%d,%d,%d,%d) diff %g", tc.name, ni, ci, iy, ix, d)
+		// required returns the output range touching inputs [lo, hi), widened
+		// by one halo position on each side and clipped to [0, out).
+		required := func(lo, hi, out int) (int, int) {
+			return max(0, ceilDiv(lo+tc.pad-tc.k+1, tc.s)-1), min(out, floorDiv(hi-1+tc.pad, tc.s)+2)
+		}
+		for _, ph := range [][2]int{{0, tc.h / 2}, {tc.h / 2, tc.h}} {
+			for _, pw := range [][2]int{{0, tc.w / 3}, {tc.w / 3, tc.w}} {
+				yh0, yh1 := required(ph[0], ph[1], oh)
+				yw0, yw1 := required(pw[0], pw[1], ow)
+				dyPart := tensor.New(tc.n, tc.f, yh1-yh0, yw1-yw0)
+				dyPart.CopyRegion(tensor.Region{Off: []int{0, 0, 0, 0}, Size: dyPart.Shape()},
+					dy, tensor.Region{Off: []int{0, 0, yh0, yw0}, Size: dyPart.Shape()})
+				dxPart := tensor.New(tc.n, tc.c, ph[1]-ph[0], pw[1]-pw[0])
+				ConvBackwardDataRegion(dyPart, w, dxPart, tc.s, tc.pad, ph[0], pw[0], yh0, yw0)
+				for ni := 0; ni < tc.n; ni++ {
+					for ci := 0; ci < tc.c; ci++ {
+						for iy := ph[0]; iy < ph[1]; iy++ {
+							for ix := pw[0]; ix < pw[1]; ix++ {
+								g, e := dxPart.At4(ni, ci, iy-ph[0], ix-pw[0]), want.At4(ni, ci, iy, ix)
+								if math.Float32bits(g) != math.Float32bits(e) {
+									t.Fatalf("%s: tile dx(%d,%d,%d,%d) = %v, full pass %v", tc.name, ni, ci, iy, ix, g, e)
+								}
 							}
 						}
 					}

@@ -77,6 +77,28 @@
 // row-block-major so A streams once while B strips stay cache-resident —
 // a pure reordering of the same disjoint tiles.
 //
+// # Backward lowering
+//
+// Both 2-D backward convolutions run on the packed GEMM, per sample.
+// ConvBackwardFilter unfolds x with the forward's im2col into col[C*K*K, P]
+// and computes dw[F, C*K*K] (+)= dy[F, P] · colᵀ with GemmNT, beta 0 for
+// the first sample (unless accumulating) and 1 afterwards; its column
+// buffer is exactly the forward's size. ConvBackwardDataRegion computes
+// col[C*K*K, P] = Wᵀ · dy[F, P] (the GemmTN layout), then a col2im gather,
+// parallel over channels, in which each dx element sums its (kh, kw)
+// contributions in ascending order. When the column matrix would exceed
+// bwdDataColMax it works through chunks of dx rows; a chunk recomputes the
+// columns of the few dy rows it shares with its neighbour, and the buffer
+// stays within the forward im2col's size classes. A 1x1, stride-1,
+// unpadded convolution skips the column buffer in both (for backward data
+// when dx and dy cover the same region): x and dx already are the [C, P]
+// operands. Region independence: the column GEMM always takes the packed
+// path (gemmStable), where each element's K-accumulation order is fixed by
+// the KC panel schedule alone, so a column element has the same bits
+// whatever the region, chunk or column count; the gather order is fixed
+// too, so a dx element computed for any region, from any halo-extended dy
+// that covers it, equals the full pass bit for bit.
+//
 // # Workspace lifecycle
 //
 // Transient kernel storage — GEMM pack panels, im2col column matrices,

@@ -62,6 +62,14 @@ func GemmNNStable(m, n, k int, alpha float32, a []float32, b []float32, beta flo
 // tracing hook, so the untraced path pays nothing.
 func GemmNNStableTraced(m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32, tr *obs.Ring, id uint64) {
 	checkGemm(m, n, k, len(a), len(b), len(c))
+	gemmStable(false, false, m, n, k, alpha, a, b, beta, c, tr, id)
+}
+
+// gemmStable is the packed path with no size dispatch: each element of C
+// depends only on its row of op(A), its column of op(B) and K, never on M,
+// N or the element's position, so callers that split one product into
+// column blocks get the same bits as the whole product.
+func gemmStable(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, tr *obs.Ring, id uint64) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -69,7 +77,7 @@ func GemmNNStableTraced(m, n, k int, alpha float32, a []float32, b []float32, be
 		scaleC(beta, c[:m*n])
 		return
 	}
-	gemmPacked(false, false, m, n, k, alpha, a, b, beta, c, nil, nil, nil, tr, id)
+	gemmPacked(transA, transB, m, n, k, alpha, a, b, beta, c, nil, nil, nil, tr, id)
 }
 
 // GemmNT computes C = alpha*A*Bᵀ + beta*C for row-major A (M x K),

@@ -74,7 +74,7 @@ func KernelThroughputRecords() (*Table, []BenchRecord) {
 		flops := 2 * float64(m) * float64(n) * float64(k)
 		row("GemmNN", shape, flops, func() { kernels.GemmNN(m, n, k, 1, a, b, 0, c) })
 		pb := kernels.PackB(k, n, b, false)
-		row("GemmNNPrepacked", shape, flops, func() { kernels.GemmNNPrepacked(m, n, k, 1, a, pb, 0, c) })
+		row("GemmPrepacked", shape, flops, func() { kernels.GemmPrepacked(false, m, n, k, 1, a, pb, 0, c, nil) })
 	}
 
 	x := tensor.New(4, 16, 64, 64)
@@ -92,10 +92,10 @@ func KernelThroughputRecords() (*Table, []BenchRecord) {
 	row("ConvBackwardData", convShape, flops, func() { kernels.ConvBackwardData(y, w, dx, 1, 1) })
 	row("ConvBackwardFilter", convShape, flops, func() { kernels.ConvBackwardFilter(x, y, dw, 1, 1, false) })
 
-	// The serving conv path: one micro-batch lowered onto one GEMM, legacy
-	// pack-on-the-fly vs prepacked weights vs prepacked with the fused
-	// BN+ReLU store epilogue (the last also folds away two elementwise
-	// passes, so its GFLOP/s column credits only the conv arithmetic).
+	// The serving conv path: one micro-batch lowered onto one GEMM against
+	// prepacked weights, raw and with the fused BN+ReLU store epilogue (the
+	// latter also folds away two elementwise passes, so its GFLOP/s column
+	// credits only the conv arithmetic).
 	xb := tensor.New(16, 32, 16, 16)
 	xb.FillPattern(0.3)
 	wb := tensor.New(64, 32, 3, 3)
@@ -103,7 +103,6 @@ func KernelThroughputRecords() (*Table, []BenchRecord) {
 	yb := tensor.New(16, 64, 16, 16)
 	bShape := "16x32x16x16 -> 64f 3x3"
 	bFlops := 2.0 * 16 * 64 * 32 * 3 * 3 * 16 * 16
-	row("ConvForwardBatched", bShape, bFlops, func() { kernels.ConvForwardBatched(xb, wb, nil, yb, 1, 1) })
 	wp := kernels.PackConvWeights(wb)
 	row("ConvForwardBatchedPrepacked", bShape, bFlops, func() {
 		kernels.ConvForwardBatchedPrepacked(xb, wp, 3, nil, yb, 1, 1, nil, 0)
@@ -119,23 +118,24 @@ func KernelThroughputRecords() (*Table, []BenchRecord) {
 	})
 
 	// End-to-end serving forward: resnet-tiny at batch 16, the acceptance
-	// workload. legacy = fusion knob off (pack-on-the-fly convs, separate
-	// BN/ReLU passes); fused = prepacked weights + fused epilogues. The two
-	// are bitwise identical (test-enforced); only the clock moves.
-	for _, cfg := range []struct {
-		name   string
-		fusion bool
-	}{{"ServingForward/resnet-tiny/legacy", false}, {"ServingForward/resnet-tiny/fused", true}} {
-		nn.SetInferFusion(cfg.fusion)
-		inf, err := models.ResNet50TinyForServing(32, 8, 16)
-		nn.SetInferFusion(true)
-		if err != nil {
-			panic(err)
-		}
-		xs := tensor.New(16, 3, 32, 32)
-		xs.FillPattern(0.7)
-		row(cfg.name, "batch 16, 32x32", 0, func() { inf.Forward(xs) })
+	// workload, on the production path (prepacked weights, fused
+	// epilogues). Like the fused conv row, GFLOP/s credits only the conv
+	// arithmetic.
+	const servingBatch = 16
+	inf, err := models.ResNet50TinyForServing(32, 8, servingBatch)
+	if err != nil {
+		panic(err)
 	}
+	var sFlops float64
+	for i, s := range inf.Arch.Specs {
+		if s.Kind == nn.KindConv {
+			in, out := inf.ShapeOf[s.Parents[0]], inf.ShapeOf[i]
+			sFlops += 2 * float64(servingBatch*s.F*in.C*s.Geom.K*s.Geom.K*out.H*out.W)
+		}
+	}
+	xs := tensor.New(servingBatch, 3, 32, 32)
+	xs.FillPattern(0.7)
+	row("ServingForward/resnet-tiny", "batch 16, 32x32", sFlops, func() { inf.Forward(xs) })
 	return t, recs
 }
 

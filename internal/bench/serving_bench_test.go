@@ -4,14 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-func benchServing(b *testing.B, fusion bool) {
-	nn.SetInferFusion(fusion)
+func BenchmarkServingForward(b *testing.B) {
 	inf, err := models.ResNet50TinyForServing(32, 8, 16)
-	nn.SetInferFusion(true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -23,6 +20,3 @@ func benchServing(b *testing.B, fusion bool) {
 		inf.Forward(x)
 	}
 }
-
-func BenchmarkServingForwardLegacy(b *testing.B) { benchServing(b, false) }
-func BenchmarkServingForwardFused(b *testing.B)  { benchServing(b, true) }

@@ -131,8 +131,6 @@ type ChannelParallelConv struct {
 	Bias  []float32 // optional, [F], replicated within the channel group
 	DBias []float32
 
-	// Algo selects the local convolution kernel.
-	Algo kernels.ConvAlgo
 	// DeferAllreduce leaves the dw/dbias reduction over ctx.ChanPeers to
 	// the caller; when false Backward completes gradients before returning.
 	DeferAllreduce bool
@@ -179,9 +177,8 @@ func newChannelParallelConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeo
 	l := &ChannelParallelConv{
 		Geom: geom, InDist: inDist, OutDist: outDist,
 		CRange: cr, FRange: fr,
-		W:    tensor.New(f, cr.Len(), geom.K, geom.K),
-		Algo: kernels.ConvAuto,
-		tag:  ctx.AllocTags(2),
+		W:   tensor.New(f, cr.Len(), geom.K, geom.K),
+		tag: ctx.AllocTags(2),
 	}
 	if bias {
 		l.Bias = make([]float32, f)
@@ -213,16 +210,14 @@ func (l *ChannelParallelConv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	}
 	if l.inference {
 		// Prepacked weights, no epilogue: the bias belongs to the complete
-		// filter sum, so it is added after the reduce-scatter below. The
-		// prepacked kernel's per-element accumulation order matches
-		// ConvForwardBatched's exactly, so sharded answers keep their bitwise
-		// identity with unsharded serving.
+		// filter sum, so it is added after the reduce-scatter below. This is
+		// the unsharded serving kernel, so each partial is row-stable.
 		if l.wp == nil {
 			l.wp = kernels.PackConvWeights(l.W)
 		}
 		kernels.ConvForwardBatchedPrepacked(x.Local, l.wp, l.Geom.K, nil, l.full, l.Geom.S, l.Geom.Pad, nil, 0)
 	} else {
-		kernels.ConvForward(x.Local, l.W, nil, l.full, l.Geom.S, l.Geom.Pad, l.Algo)
+		kernels.ConvForward(x.Local, l.W, nil, l.full, l.Geom.S, l.Geom.Pad, kernels.ConvAuto)
 	}
 	reduceScatterOwnBlock(ctx, l.full, l.y.Local, l.rsCounts)
 	if l.Bias != nil {
@@ -321,8 +316,6 @@ type FilterParallelConv struct {
 	Bias  []float32 // optional, [fLoc]
 	DBias []float32
 
-	// Algo selects the local convolution kernel.
-	Algo kernels.ConvAlgo
 	// DeferAllreduce leaves the dw/dbias reduction over ctx.ChanPeers to
 	// the caller.
 	DeferAllreduce bool
@@ -331,9 +324,9 @@ type FilterParallelConv struct {
 	// no gradient buffers or error shard exist, Backward panics, and the
 	// gathered-input convolution runs on the batched row-stable kernel —
 	// because its weight rows and input channels are complete, the produced
-	// filter block is bitwise identical to the same rows of a sequential
-	// ConvForwardBatched, which is what makes filter-sharded serving
-	// replicas answer identically to unsharded ones.
+	// filter block is bitwise identical to the same rows of an unsharded
+	// ConvForwardBatchedPrepacked, which is what makes filter-sharded
+	// serving replicas answer identically to unsharded ones.
 	inference bool
 	// wp caches the prepacked weights for the inference forward, built
 	// lazily from W and dropped by InvalidatePacked after a restore.
@@ -377,9 +370,8 @@ func newFilterParallelConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom
 	l := &FilterParallelConv{
 		Geom: geom, InDist: inDist, OutDist: outDist,
 		CRange: cr, FRange: fr,
-		W:    tensor.New(fr.Len(), inDist.C, geom.K, geom.K),
-		Algo: kernels.ConvAuto,
-		tag:  ctx.AllocTags(2),
+		W:   tensor.New(fr.Len(), inDist.C, geom.K, geom.K),
+		tag: ctx.AllocTags(2),
 	}
 	if bias {
 		l.Bias = make([]float32, fr.Len())
@@ -414,7 +406,7 @@ func (l *FilterParallelConv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 		}
 		kernels.ConvForwardBatchedPrepacked(l.xFull, l.wp, l.Geom.K, l.epi, l.y.Local, l.Geom.S, l.Geom.Pad, nil, 0)
 	} else {
-		kernels.ConvForward(l.xFull, l.W, l.Bias, l.y.Local, l.Geom.S, l.Geom.Pad, l.Algo)
+		kernels.ConvForward(l.xFull, l.W, l.Bias, l.y.Local, l.Geom.S, l.Geom.Pad, kernels.ConvAuto)
 		l.haveX = true
 	}
 	return l.y

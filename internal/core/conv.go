@@ -25,8 +25,6 @@ type Conv struct {
 	DW    *tensor.Tensor
 	DBias []float32
 
-	// Algo selects the local convolution kernel (cuDNN algorithm analogue).
-	Algo kernels.ConvAlgo
 	// Overlap enables interior/boundary decomposition in forward propagation
 	// and hiding the dy halo exchange under the filter-gradient computation
 	// in backpropagation (Section IV-A).
@@ -91,7 +89,6 @@ func newConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *
 		InDist:  inDist,
 		OutDist: outDist,
 		W:       tensor.New(f, inDist.C, geom.K, geom.K),
-		Algo:    kernels.ConvAuto,
 		Overlap: true,
 		tag:     ctx.AllocTags(4),
 		ws:      kernels.DefaultWorkspace(),
@@ -171,7 +168,7 @@ func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 		if plan.AlignH() == 0 && plan.AlignW() == 0 &&
 			ext.T.Dim(2) == (oh-1)*l.Geom.S+l.Geom.K && ext.T.Dim(3) == (ow-1)*l.Geom.S+l.Geom.K {
 			// Ext is exactly the required window: convolve it directly.
-			kernels.ConvForward(ext.T, l.W, l.Bias, y.Local, l.Geom.S, 0, l.Algo)
+			kernels.ConvForward(ext.T, l.W, l.Bias, y.Local, l.Geom.S, 0, kernels.ConvAuto)
 		} else {
 			l.convRegion(ext, y.Local, dist.Range{Lo: 0, Hi: oh}, dist.Range{Lo: 0, Hi: ow})
 		}
@@ -248,7 +245,7 @@ func (l *Conv) convRegion(ext Ext, yLoc *tensor.Tensor, rh, rw dist.Range) {
 		tensor.Region{Off: []int{0, 0, ah + rh.Lo*s, aw + rw.Lo*s}, Size: []int{n, c, sh, sw}})
 	yBuf := l.ws.Get(n * f * rh.Len() * rw.Len())
 	yPart := tensor.FromSlice(*yBuf, n, f, rh.Len(), rw.Len())
-	kernels.ConvForward(sub, l.W, l.Bias, yPart, s, 0, l.Algo)
+	kernels.ConvForward(sub, l.W, l.Bias, yPart, s, 0, kernels.ConvAuto)
 	yLoc.InsertRegion(
 		tensor.Region{Off: []int{0, 0, rh.Lo, rw.Lo}, Size: []int{n, f, rh.Len(), rw.Len()}},
 		yPart.Data())

@@ -49,7 +49,7 @@ func runDistributed(g dist.Grid, fn func(ctx *Ctx)) {
 
 // distConvCase runs a distributed convolution forward+backward over grid g
 // and compares every result against the sequential kernels.
-func checkDistConv(t *testing.T, g dist.Grid, n, c, h, wd, f int, geom dist.ConvGeom, overlap bool, algo kernels.ConvAlgo) {
+func checkDistConv(t *testing.T, g dist.Grid, n, c, h, wd, f int, geom dist.ConvGeom, overlap bool) {
 	t.Helper()
 	inD := dist.Dist{Grid: g, N: n, C: c, H: h, W: wd}
 	if inD.Validate() != nil {
@@ -94,7 +94,6 @@ func checkDistConv(t *testing.T, g dist.Grid, n, c, h, wd, f int, geom dist.Conv
 		copy(l.W.Data(), w.Data())
 		copy(l.Bias, bias)
 		l.Overlap = overlap
-		l.Algo = algo
 		y := l.Forward(ctx, xShards[ctx.Rank])
 		dx := l.Backward(ctx, dyShards[ctx.Rank])
 		mu.Lock()
@@ -125,34 +124,34 @@ func checkDistConv(t *testing.T, g dist.Grid, n, c, h, wd, f int, geom dist.Conv
 
 func TestDistConv3x3SameAllGrids(t *testing.T) {
 	for _, g := range testGrids {
-		checkDistConv(t, g, 4, 3, 12, 12, 5, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false, kernels.ConvDirect)
+		checkDistConv(t, g, 4, 3, 12, 12, 5, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false)
 	}
 }
 
 func TestDistConv3x3OverlapAllGrids(t *testing.T) {
 	for _, g := range testGrids {
-		checkDistConv(t, g, 4, 3, 12, 12, 5, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true, kernels.ConvAuto)
+		checkDistConv(t, g, 4, 3, 12, 12, 5, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true)
 	}
 }
 
 func TestDistConvStride2AllGrids(t *testing.T) {
 	// Mesh conv1_1 geometry (K=5 S=2 P=2), scaled down.
 	for _, g := range testGrids {
-		checkDistConv(t, g, 2, 3, 16, 16, 4, dist.ConvGeom{K: 5, S: 2, Pad: 2}, true, kernels.ConvAuto)
+		checkDistConv(t, g, 2, 3, 16, 16, 4, dist.ConvGeom{K: 5, S: 2, Pad: 2}, true)
 	}
 }
 
 func TestDistConvResNetConv1Geometry(t *testing.T) {
 	// K=7 S=2 P=3 (ResNet-50 conv1), on a 32x32 input.
 	for _, g := range []dist.Grid{{PN: 1, PH: 2, PW: 2}, {PN: 2, PH: 2, PW: 1}} {
-		checkDistConv(t, g, 2, 3, 32, 32, 8, dist.ConvGeom{K: 7, S: 2, Pad: 3}, true, kernels.ConvAuto)
+		checkDistConv(t, g, 2, 3, 32, 32, 8, dist.ConvGeom{K: 7, S: 2, Pad: 3}, true)
 	}
 }
 
 func TestDistConv1x1NoHalo(t *testing.T) {
 	// 1x1 convolutions need no halo exchange (res3b_branch2a geometry).
 	for _, g := range testGrids {
-		checkDistConv(t, g, 2, 6, 8, 8, 4, dist.ConvGeom{K: 1, S: 1, Pad: 0}, true, kernels.ConvAuto)
+		checkDistConv(t, g, 2, 6, 8, 8, 4, dist.ConvGeom{K: 1, S: 1, Pad: 0}, true)
 	}
 	// And the plan must actually be empty.
 	g := dist.Grid{PN: 1, PH: 2, PW: 2}
@@ -168,14 +167,14 @@ func TestDistConv1x1NoHalo(t *testing.T) {
 
 func TestDistConvUnevenPartition(t *testing.T) {
 	// H=13 over 4 parts: blocks of 4,3,3,3 — exercises uneven halos.
-	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 2, 2, 13, 9, 3, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true, kernels.ConvAuto)
-	checkDistConv(t, dist.Grid{PN: 1, PH: 2, PW: 2}, 3, 2, 11, 13, 3, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false, kernels.ConvDirect)
+	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 2, 2, 13, 9, 3, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true)
+	checkDistConv(t, dist.Grid{PN: 1, PH: 2, PW: 2}, 3, 2, 11, 13, 3, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false)
 }
 
 func TestDistConvWideHaloMultiHop(t *testing.T) {
 	// K=7 halo (3 rows) wider than a block (2 rows): multi-peer exchange.
-	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 1, 2, 8, 8, 2, dist.ConvGeom{K: 7, S: 1, Pad: 3}, false, kernels.ConvDirect)
-	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 1, 2, 8, 8, 2, dist.ConvGeom{K: 7, S: 1, Pad: 3}, true, kernels.ConvAuto)
+	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 1, 2, 8, 8, 2, dist.ConvGeom{K: 7, S: 1, Pad: 3}, false)
+	checkDistConv(t, dist.Grid{PN: 1, PH: 4, PW: 1}, 1, 2, 8, 8, 2, dist.ConvGeom{K: 7, S: 1, Pad: 3}, true)
 }
 
 func TestDistMaxPool(t *testing.T) {

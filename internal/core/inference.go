@@ -37,7 +37,7 @@ func NewBatchNormInference(ctx *Ctx, d dist.Dist) *BatchNorm {
 
 // NewChannelParallelConvInference is NewChannelParallelConv without any
 // gradient state: Backward panics, and the local partial-channel
-// convolution runs on kernels.ConvForwardBatched, whose per-column
+// convolution runs on kernels.ConvForwardBatchedPrepacked, whose per-column
 // accumulation is batch-width independent — the row-stable property dynamic
 // micro-batching needs. The completed output still reassociates the channel
 // sum across blocks (reduce-scatter in block order), so a channel-split
@@ -51,11 +51,11 @@ func NewChannelParallelConvInference(ctx *Ctx, inDist dist.Dist, f int, geom dis
 
 // NewFilterParallelConvInference is NewFilterParallelConv without any
 // gradient state: Backward panics, and the gathered-input convolution runs
-// on kernels.ConvForwardBatched. Because every rank sees the complete input
-// channels and computes complete weight rows, each rank's filter block is
-// bitwise identical to the corresponding rows of a sequential batched
-// forward — a filter-sharded serving replica answers bit-for-bit like an
-// unsharded one.
+// on kernels.ConvForwardBatchedPrepacked. Because every rank sees the
+// complete input channels and computes complete weight rows, each rank's
+// filter block is bitwise identical to the corresponding rows of a
+// sequential batched forward — a filter-sharded serving replica answers
+// bit-for-bit like an unsharded one.
 func NewFilterParallelConvInference(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *FilterParallelConv {
 	l := newFilterParallelConv(ctx, inDist, f, geom, bias)
 	l.inference = true

@@ -95,9 +95,10 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 }
 
 // Filter-split inference convolutions must be bitwise identical to the
-// sequential batched serving kernel: every rank holds complete weight rows
-// and gathers the complete input channels, so its filter block reproduces
-// the same accumulations ConvForwardBatched performs.
+// unsharded serving kernel: every rank holds complete weight rows and
+// gathers the complete input channels, so its filter block reproduces the
+// same accumulations ConvForwardBatchedPrepacked performs on the full
+// weights.
 func TestFilterParallelConvInferenceBitwise(t *testing.T) {
 	for _, pc := range []int{1, 2, 3} {
 		g := dist.Grid{PN: 1, PC: pc, PH: 1, PW: 1}
@@ -113,7 +114,7 @@ func TestFilterParallelConvInferenceBitwise(t *testing.T) {
 			bias[i] = 0.05 * float32(i)
 		}
 		want := tensor.New(3, f, 6, 6)
-		kernels.ConvForwardBatched(x, w, bias, want, 1, 1)
+		kernels.ConvForwardBatchedPrepacked(x, kernels.PackConvWeights(w), 3, &kernels.Epilogue{Bias: bias}, want, 1, 1, nil, 0)
 
 		var mu sync.Mutex
 		outs := make([]DistTensor, g.Size())
@@ -154,7 +155,7 @@ func TestChannelParallelConvInferenceDeterministic(t *testing.T) {
 	w := tensor.New(f, 6, 3, 3)
 	w.FillRandN(22, 0.5)
 	want := tensor.New(2, f, 5, 5)
-	kernels.ConvForwardBatched(x, w, nil, want, 1, 1)
+	kernels.ConvForwardBatchedPrepacked(x, kernels.PackConvWeights(w), 3, nil, want, 1, 1, nil, 0)
 
 	run := func() *tensor.Tensor {
 		var mu sync.Mutex

@@ -323,7 +323,7 @@ func ConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, y
 		// [F, P] operand and dx[n] the [C, P] result, so no column buffer.
 		for ni := 0; ni < n; ni++ {
 			gemmStable(true, false, c, dxPlane, f, 1, wwd, dyd[ni*f*dyPlane:(ni+1)*f*dyPlane],
-				0, dxd[ni*c*dxPlane:(ni+1)*c*dxPlane], nil, 0)
+				0, dxd[ni*c*dxPlane:(ni+1)*c*dxPlane])
 		}
 		return
 	}
@@ -364,7 +364,7 @@ func ConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, y
 						copy(src[fi*cols:(fi+1)*cols], dyn[fi*dyPlane+o0*dyW:fi*dyPlane+o1*dyW])
 					}
 				}
-				gemmStable(true, false, ckk, cols, f, 1, wwd, src, 0, j.col, nil, 0)
+				gemmStable(true, false, ckk, cols, f, 1, wwd, src, 0, j.col)
 			}
 			parallelChunks(c, j)
 		}

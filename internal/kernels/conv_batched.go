@@ -8,78 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// ConvForwardBatched computes y = conv(x, w) + bias like ConvForward, but
-// lowers the whole mini-batch onto ONE packed GEMM instead of a GEMM per
-// sample: the inputs unfold into a single [C*K*K, N*OH*OW] column matrix
-// (sample ni owns the contiguous column block [ni*OH*OW, (ni+1)*OH*OW)), a
-// single GemmNNStable produces [F, N*OH*OW], and an unshuffle pass
-// transposes the result into the NCHW output layout, folding in the bias.
-// GemmNNStable (never the small-problem fallback) keeps each sample's
-// output bitwise independent of the batch it rode in on.
-//
-// This is the serving-side analogue of the paper's insight that throughput
-// comes from batching work onto wide, well-blocked kernels: N micro-batched
-// requests pay for one A-matrix pack and one sweep of full-width B panels,
-// where the per-sample formulation packs W and re-warms the GEMM N times on
-// matrices too narrow to amortize it. All scratch (column matrix, GEMM
-// output) comes from the default workspace, so warm calls — in particular
-// every batcher flush in internal/serve — allocate nothing.
-//
-// The extra output shuffle costs one output-sized copy; it is only worth
-// paying when N > 1 and the per-sample GEMM is small, which is exactly the
-// dynamic micro-batching regime. Training keeps the per-sample ConvForward
-// whose accumulation order the distributed-equivalence tests pin down.
-func ConvForwardBatched(x, w *tensor.Tensor, bias []float32, y *tensor.Tensor, stride, pad int) {
-	ConvForwardBatchedTraced(x, w, bias, y, stride, pad, nil, 0)
-}
-
-// ConvForwardBatchedTraced is ConvForwardBatched with flight-recorder
-// attribution: with a non-nil ring it emits im2col / gemm-phase / unshuffle
-// spans tagged with the correlation id; with nil it is exactly
-// ConvForwardBatched (no hooks run).
-func ConvForwardBatchedTraced(x, w *tensor.Tensor, bias []float32, y *tensor.Tensor, stride, pad int, tr *obs.Ring, id uint64) {
-	n, c, h, wd, f, k, oh, ow := convCheck(x, w, y, stride, pad)
-	if bias != nil && len(bias) != f {
-		panic("kernels: bias length != filters")
-	}
-	ckk := c * k * k
-	plane := oh * ow
-	cols := n * plane
-	xd, wwd, yd := x.Data(), w.Data(), y.Data()
-
-	colBuf := defaultWS.Get(ckk * cols)
-	col := *colBuf
-	var t int64
-	if tr != nil {
-		t = obs.Start()
-	}
-	ij := im2colBatchJobPool.Get().(*im2colBatchJob)
-	ij.x, ij.col = xd, col
-	ij.c, ij.h, ij.w, ij.k = c, h, wd, k
-	ij.stride, ij.pad, ij.oh, ij.ow, ij.cols = stride, pad, oh, ow, cols
-	parallelChunks(n*c, ij)
-	ij.x, ij.col = nil, nil
-	im2colBatchJobPool.Put(ij)
-	tr.Record(obs.StageIm2col, 0, id, t, int64(ckk*cols)*4)
-
-	outBuf := defaultWS.Get(f * cols)
-	out := *outBuf
-	GemmNNStableTraced(f, cols, ckk, 1, wwd, col, 0, out, tr, id)
-	defaultWS.Put(colBuf)
-
-	if tr != nil {
-		t = obs.Start()
-	}
-	uj := convUnshuffleJobPool.Get().(*convUnshuffleJob)
-	uj.out, uj.yd, uj.bias = out, yd, bias
-	uj.f, uj.plane, uj.cols = f, plane, cols
-	parallelChunks(n*f, uj)
-	uj.out, uj.yd, uj.bias = nil, nil, nil
-	convUnshuffleJobPool.Put(uj)
-	tr.Record(obs.StageUnshuffle, 0, id, t, int64(f*cols)*4)
-	defaultWS.Put(outBuf)
-}
-
 // PackConvWeights packs conv weights w [F, C, K, K] for the prepacked
 // batched forward: op(B) = Wᵀ (CKK x F), i.e. the transposed-GEMM
 // formulation in which the immutable weights are the GEMM's B operand.
@@ -91,25 +19,31 @@ func PackConvWeights(w *tensor.Tensor) *PackedB {
 	return PackB(ckk, f, w.Data(), true)
 }
 
-// ConvForwardBatchedPrepacked computes the same batched convolution as
-// ConvForwardBatched, but against prepacked weights and with an optional
-// fused epilogue, via the transposed formulation
+// ConvForwardBatchedPrepacked computes y = conv(x, w) for a whole
+// mini-batch against prepacked weights, with an optional fused epilogue. It
+// is the serving convolution: the micro-batch is lowered onto ONE packed
+// GEMM in the transposed formulation
 //
 //	out[N*OH*OW, F] = im2colᵀ[N*OH*OW, CKK] x Wᵀ[CKK, F]
 //
 // so the weights are the GEMM's B operand and their pack phase disappears
-// from every call (and from the obs trace — no gemm_pack_b span). The
-// im2col column matrix is never materialized either: the GEMM's pack-A
-// phase gathers each micro-panel straight out of x (implicit im2col, see
-// packAIm2col), placing exactly the values the explicit lowering would
-// have read into exactly the panel slots the transposed pack would have
-// put them, so the per-element K-accumulation order — and therefore every
-// output bit — matches ConvForwardBatched's. The epilogue carries the conv
-// bias (the unshuffle no longer folds it) plus any fused BN/ReLU; nil epi
-// means the raw convolution with no bias.
+// from every call. N batched requests pay for one sweep of full-width
+// panels, where a per-sample formulation would re-warm the GEMM N times on
+// matrices too narrow to amortize it. The im2col column matrix is never
+// materialized: the GEMM's pack-A phase gathers each micro-panel straight
+// out of x (implicit im2col, see packAIm2col). The GEMM always takes the
+// packed path, so each output element's K-accumulation order depends only
+// on its own row and column, never on N: a sample's output is bitwise
+// independent of the batch it rode in on, and bitwise equal to an explicit
+// per-sample im2col followed by GemmNNStable (test-enforced). A blocked
+// transpose then writes the NCHW output. The epilogue carries the conv
+// bias plus any fused BN/ReLU; nil epi means the raw convolution with no
+// bias. All scratch comes from the default workspace, so warm calls
+// allocate nothing.
 //
-// wk is the square kernel size (the packed weights no longer carry their
-// shape); wp must be PackConvWeights of a [F, C, wk, wk] weight tensor.
+// wk is the square kernel size (the packed weights do not carry their
+// shape); wp must be PackConvWeights of a [F, C, wk, wk] weight tensor. A
+// non-nil tr receives gemm-phase and unshuffle spans tagged with id.
 func ConvForwardBatchedPrepacked(x *tensor.Tensor, wp *PackedB, wk int, epi *Epilogue, y *tensor.Tensor, stride, pad int, tr *obs.Ring, id uint64) {
 	xs, ys := x.Shape(), y.Shape()
 	n, c, h, wd := xs[0], xs[1], xs[2], xs[3]
@@ -307,75 +241,6 @@ func (s *gemmState) packAIm2col(lo, hi int) {
 			for p := 0; p < kc; p++ {
 				dst[p*mr+r] = 0
 			}
-		}
-	}
-}
-
-// im2colBatchJob unfolds (sample, channel) pairs [lo, hi) of the whole batch
-// into the shared column matrix, whose rows have stride cols = N*OH*OW.
-type im2colBatchJob struct {
-	x, col                          []float32
-	c, h, w, k, stride, pad, oh, ow int
-	cols                            int
-}
-
-var im2colBatchJobPool = sync.Pool{New: func() any { return new(im2colBatchJob) }}
-
-func (j *im2colBatchJob) RunChunk(lo, hi int) {
-	c, h, w, k, stride, pad, oh, ow := j.c, j.h, j.w, j.k, j.stride, j.pad, j.oh, j.ow
-	plane := oh * ow
-	for idx := lo; idx < hi; idx++ {
-		ni, ci := idx/c, idx%c
-		x := j.x[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
-		colBase := ni * plane
-		for kh := 0; kh < k; kh++ {
-			for kw := 0; kw < k; kw++ {
-				row := j.col[((ci*k+kh)*k+kw)*j.cols+colBase:]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + kh
-					dst := row[oy*ow : (oy+1)*ow]
-					if iy < 0 || iy >= h {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					src := x[iy*w : (iy+1)*w]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kw
-						if ix < 0 || ix >= w {
-							dst[ox] = 0
-						} else {
-							dst[ox] = src[ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// convUnshuffleJob transposes the batched GEMM output [F, N*OH*OW] into the
-// NCHW output [N, F, OH*OW], adding the per-filter bias in the same pass.
-type convUnshuffleJob struct {
-	out, yd, bias  []float32
-	f, plane, cols int
-}
-
-var convUnshuffleJobPool = sync.Pool{New: func() any { return new(convUnshuffleJob) }}
-
-func (j *convUnshuffleJob) RunChunk(lo, hi int) {
-	for idx := lo; idx < hi; idx++ {
-		ni, fi := idx/j.f, idx%j.f
-		src := j.out[fi*j.cols+ni*j.plane : fi*j.cols+(ni+1)*j.plane]
-		dst := j.yd[idx*j.plane : (idx+1)*j.plane]
-		if j.bias != nil {
-			b := j.bias[fi]
-			for q, v := range src {
-				dst[q] = v + b
-			}
-		} else {
-			copy(dst, src)
 		}
 	}
 }

@@ -39,8 +39,8 @@
 //
 // Serving weights are GEMM's B operand and never change between requests,
 // so PackB snapshots the pack-B output once into a PackedB and
-// GemmNNPrepacked / GemmTNPrepacked / ConvForwardBatchedPrepacked skip the
-// per-call pack-B stage entirely. The layout is the pack-on-the-fly layout,
+// GemmPrepacked / ConvForwardBatchedPrepacked skip the per-call pack-B
+// stage entirely. The layout is the pack-on-the-fly layout,
 // frozen: B is split into ceil(k/KC) x ceil(n/NC) panels, ordered K-major
 // within each N panel; each panel is a sequence of NR-interleaved strips
 // (strip s holds columns s*NR..s*NR+NR-1; element (p, j) of a strip lives
@@ -52,10 +52,11 @@
 //
 // # Fused epilogues
 //
-// GemmNNPrepacked takes an optional Epilogue — per-output-channel bias, or
-// inference batchnorm (Gamma*(v-Mean)*InvStd + Beta), optionally followed
-// by ReLU — applied in the microkernel's C store while the tile is still
-// cache-hot, on the last K panel only. The contract is bitwise: the fused
+// GemmPrepacked and ConvForwardBatchedPrepacked take an optional Epilogue
+// — per-output-channel bias, or inference batchnorm
+// (Gamma*(v-Mean)*InvStd + Beta), optionally followed by ReLU — applied in
+// the microkernel's C store while the tile is still cache-hot, on the last
+// K panel only. The contract is bitwise: the fused
 // result must equal running the unfused GEMM and then the separate
 // BatchNormInference / ReLUForward kernels. That pins the exact expression
 // shape (single-rounding per step, InvStd computed in float64 then rounded

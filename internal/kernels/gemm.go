@@ -48,28 +48,20 @@ func GemmNN(m, n, k int, alpha float32, a []float32, b []float32, beta float32, 
 // takes the packed register-blocked path regardless of problem size. Within
 // that path each output element's K-accumulation order is fixed by the KC
 // panel schedule alone, so results are bitwise independent of N — the
-// property the serving batcher relies on: a request's answer may not change
-// with the number of requests sharing its micro-batch. Tiny problems pay
-// the packing overhead GemmNN's small-path dispatch avoids, which is the
-// price of determinism.
+// property the serving conv shares (it takes the same packed path): a
+// request's answer may not change with the number of requests sharing its
+// micro-batch. Tiny problems pay the packing overhead GemmNN's small-path
+// dispatch avoids, which is the price of determinism.
 func GemmNNStable(m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
-	GemmNNStableTraced(m, n, k, alpha, a, b, beta, c, nil, 0)
-}
-
-// GemmNNStableTraced is GemmNNStable with flight-recorder attribution: when
-// tr is non-nil, per-phase spans (gemm_pack_a, gemm_pack_b, gemm_kernel)
-// tagged with the correlation id land on that ring. A nil tr skips every
-// tracing hook, so the untraced path pays nothing.
-func GemmNNStableTraced(m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32, tr *obs.Ring, id uint64) {
 	checkGemm(m, n, k, len(a), len(b), len(c))
-	gemmStable(false, false, m, n, k, alpha, a, b, beta, c, tr, id)
+	gemmStable(false, false, m, n, k, alpha, a, b, beta, c)
 }
 
 // gemmStable is the packed path with no size dispatch: each element of C
 // depends only on its row of op(A), its column of op(B) and K, never on M,
 // N or the element's position, so callers that split one product into
 // column blocks get the same bits as the whole product.
-func gemmStable(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, tr *obs.Ring, id uint64) {
+func gemmStable(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -77,7 +69,7 @@ func gemmStable(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 		scaleC(beta, c[:m*n])
 		return
 	}
-	gemmPacked(transA, transB, m, n, k, alpha, a, b, beta, c, nil, nil, nil, tr, id)
+	gemmPacked(transA, transB, m, n, k, alpha, a, b, beta, c, nil, nil, nil, nil, 0)
 }
 
 // GemmNT computes C = alpha*A*Bᵀ + beta*C for row-major A (M x K),
@@ -213,8 +205,9 @@ func (s *gemmState) dispatch(n int, job parallelJob) {
 // while the tile is cache-hot (see Epilogue for the bitwise contract).
 //
 // tr/id carry optional flight-recorder attribution: nil tr means no tracing
-// hooks run at all; with a ring, each pack/compute phase emits one span per
-// panel, arg = work size (elements packed / fused-multiply-adds swept).
+// hooks run at all; with a ring, the pack-A and compute phases emit one span
+// per panel, arg = work size (elements packed / fused-multiply-adds swept).
+// Only the prepacked serving conv traces, so pack-B never emits a span.
 func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, pb *PackedB, epi *Epilogue, aIm *im2colASrc, tr *obs.Ring, id uint64) {
 	g := activeGeom
 	if pb != nil {
@@ -268,11 +261,7 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 			s.nc = min(gemmNC, n-jj)
 			strips := (s.nc + s.nr - 1) / s.nr
 			if pb == nil {
-				if tr != nil {
-					t = obs.Start()
-				}
 				s.dispatch(strips, gemmPackBJob{s})
-				tr.Record(obs.StageGemmPackB, 0, id, t, int64(s.nc*s.kc))
 			}
 			// The compute domain is (strip, row-block) pairs. Strip-major
 			// order keeps a packed B strip hot across consecutive items —

@@ -3,8 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // PackedB holds op(B) in the packed GEMM's panel-blocked layout, built once
@@ -181,28 +179,13 @@ func (e *Epilogue) apply(c []float32, ldc, mi, ni, j0 int) {
 	}
 }
 
-// GemmNNPrepacked computes C = alpha*A*op(B) + beta*C with op(B) prepacked;
-// A is row-major M x K. Like GemmNNStable it always takes the packed path,
-// so the per-element accumulation order — and therefore the bitwise
-// independence of N the serving batcher relies on — is identical; the only
-// difference from GemmNNStable is that the pack-B phase never runs.
-func GemmNNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
-	GemmPrepacked(false, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
-}
-
-// GemmTNPrepacked computes C = alpha*Aᵀ*op(B) + beta*C with op(B)
-// prepacked; a is row-major K x M (op(A) = aᵀ). This is the serving conv
-// formulation: a is the im2col column matrix, op(B) the prepacked weights.
-func GemmTNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
-	GemmPrepacked(true, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
-}
-
-// GemmPrepacked is the full-control prepacked entry: transA selects whether
-// a is M x K (false) or K x M with op(A) = aᵀ (true), epi is an optional
-// fused store epilogue, and tr/id carry optional flight-recorder
-// attribution (note no gemm_pack_b span is ever emitted — that phase does
-// not exist on this path).
-func GemmPrepacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32, epi *Epilogue, tr *obs.Ring, id uint64) {
+// GemmPrepacked computes C = alpha*op(A)*op(B) + beta*C with op(B)
+// prepacked: transA selects whether a is M x K (false) or K x M with
+// op(A) = aᵀ (true), and epi is an optional fused store epilogue. Like
+// GemmNNStable it always takes the packed path, so the per-element
+// accumulation order — and with it the bitwise independence of N the
+// serving batcher relies on — is identical; only the pack-B phase is gone.
+func GemmPrepacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32, epi *Epilogue) {
 	checkGemm(m, n, k, len(a), k*n, len(c))
 	if m == 0 || n == 0 {
 		return
@@ -214,5 +197,5 @@ func GemmPrepacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Pac
 		}
 		return
 	}
-	gemmPacked(transA, false, m, n, k, alpha, a, nil, beta, c, pb, epi, nil, tr, id)
+	gemmPacked(transA, false, m, n, k, alpha, a, nil, beta, c, pb, epi, nil, nil, 0)
 }

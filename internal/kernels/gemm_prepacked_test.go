@@ -53,7 +53,7 @@ func TestGemmPrepackedBitwiseMatchesStable(t *testing.T) {
 			want := cloneSlice(c0)
 			GemmNNStable(m, n, k, alpha, a, b, beta, want)
 			got := cloneSlice(c0)
-			GemmNNPrepacked(m, n, k, alpha, a, pb, beta, got)
+			GemmPrepacked(false, m, n, k, alpha, a, pb, beta, got, nil)
 			bitsEqual(t, "prepacked", got, want)
 		}
 	}
@@ -80,7 +80,7 @@ func TestGemmTNPrepackedBitwiseMatchesStable(t *testing.T) {
 		want := make([]float32, m*n)
 		GemmNNStable(m, n, k, 1, at, b, 0, want)
 		got := make([]float32, m*n)
-		GemmTNPrepacked(m, n, k, 1, a, pb, 0, got)
+		GemmPrepacked(true, m, n, k, 1, a, pb, 0, got, nil)
 		bitsEqual(t, "tn-prepacked", got, want)
 	}
 }
@@ -102,12 +102,12 @@ func TestPackBTransposed(t *testing.T) {
 }
 
 // TestConvPrepackedBitwiseMatchesBatched pins the serving conv contract:
-// ConvForwardBatchedPrepacked (transposed formulation, weights prepacked,
-// bias folded into the GEMM store epilogue) is bit-for-bit
-// ConvForwardBatched. Float multiplication commutes bitwise and the
-// per-element K order is unchanged, so transposing the GEMM cannot move a
-// single ULP. Shapes cover CKK below and above the KC panel depth and F
-// across strip boundaries.
+// ConvForwardBatchedPrepacked (transposed formulation, implicit im2col,
+// weights prepacked, bias folded into the GEMM store epilogue) is
+// bit-for-bit the explicit per-sample lowering convForwardRef. Float
+// multiplication commutes bitwise and the per-element K order is
+// unchanged, so transposing the GEMM cannot move a single ULP. Shapes cover
+// CKK below and above the KC panel depth and F across strip boundaries.
 func TestConvPrepackedBitwiseMatchesBatched(t *testing.T) {
 	cases := []struct{ n, c, h, w, f, k, stride, pad int }{
 		{3, 5, 9, 9, 17, 3, 1, 1},
@@ -124,14 +124,14 @@ func TestConvPrepackedBitwiseMatchesBatched(t *testing.T) {
 		oh := (cs.h+2*cs.pad-cs.k)/cs.stride + 1
 		ow := (cs.w+2*cs.pad-cs.k)/cs.stride + 1
 		want := tensor.New(cs.n, cs.f, oh, ow)
-		ConvForwardBatched(x, w, bias, want, cs.stride, cs.pad)
+		convForwardRef(x, w, bias, want, cs.stride, cs.pad)
 		got := tensor.New(cs.n, cs.f, oh, ow)
 		wp := PackConvWeights(w)
 		ConvForwardBatchedPrepacked(x, wp, cs.k, &Epilogue{Bias: bias}, got, cs.stride, cs.pad, nil, 0)
 		bitsEqual(t, "conv-prepacked", got.Data(), want.Data())
 
 		// And with no bias / nil epilogue.
-		ConvForwardBatched(x, w, nil, want, cs.stride, cs.pad)
+		convForwardRef(x, w, nil, want, cs.stride, cs.pad)
 		ConvForwardBatchedPrepacked(x, wp, cs.k, nil, got, cs.stride, cs.pad, nil, 0)
 		bitsEqual(t, "conv-prepacked-nobias", got.Data(), want.Data())
 	}
@@ -161,7 +161,7 @@ func TestConvFusedEpilogueBitwise(t *testing.T) {
 
 	for _, relu := range []bool{false, true} {
 		want := tensor.New(n, f, h, wd)
-		ConvForwardBatched(x, w, nil, want, stride, pad)
+		convForwardRef(x, w, nil, want, stride, pad)
 		BatchNormInference(want, runMean, runVar, gamma, beta, eps, want)
 		if relu {
 			ReLUForward(want, want)
@@ -194,7 +194,7 @@ func TestGemmGeometriesAgree(t *testing.T) {
 		GemmNNStable(m, n, k, 1, a, b, 0, got)
 		bitsEqual(t, g.name+"/stable", got, want)
 		clear(got)
-		GemmNNPrepacked(m, n, k, 1, a, pb, 0, got)
+		GemmPrepacked(false, m, n, k, 1, a, pb, 0, got, nil)
 		restore()
 		bitsEqual(t, g.name+"/prepacked", got, want)
 	}
@@ -216,7 +216,7 @@ func TestGemmPrepackedGeometryMismatchPanics(t *testing.T) {
 	}()
 	a := randSlice(4*32, 6)
 	c := make([]float32, 4*48)
-	GemmNNPrepacked(4, 48, 32, 1, a, pb, 0, c)
+	GemmPrepacked(false, 4, 48, 32, 1, a, pb, 0, c, nil)
 }
 
 // TestGemmPrepackedParallelWorkers checks that the intra-GEMM parallel
@@ -231,10 +231,10 @@ func TestGemmPrepackedParallelWorkers(t *testing.T) {
 
 	old := SetMaxWorkers(1)
 	serial := make([]float32, m*n)
-	GemmNNPrepacked(m, n, k, 1, a, pb, 0, serial)
+	GemmPrepacked(false, m, n, k, 1, a, pb, 0, serial, nil)
 	SetMaxWorkers(5)
 	pooled := make([]float32, m*n)
-	GemmNNPrepacked(m, n, k, 1, a, pb, 0, pooled)
+	GemmPrepacked(false, m, n, k, 1, a, pb, 0, pooled, nil)
 	SetMaxWorkers(old)
 	bitsEqual(t, "prepacked-workers", pooled, serial)
 }
@@ -247,11 +247,11 @@ func TestGemmPrepackedZeroAllocs(t *testing.T) {
 	b := make([]float32, k*n)
 	c := make([]float32, m*n)
 	pb := PackB(k, n, b, false)
-	assertZeroAllocs(t, "GemmNNPrepacked", func() { GemmNNPrepacked(m, n, k, 1, a, pb, 0, c) })
+	assertZeroAllocs(t, "GemmPrepacked", func() { GemmPrepacked(false, m, n, k, 1, a, pb, 0, c, nil) })
 
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
-	assertZeroAllocs(t, "GemmNNPrepacked/pooled", func() { GemmNNPrepacked(m, n, k, 1, a, pb, 0, c) })
+	assertZeroAllocs(t, "GemmPrepacked/pooled", func() { GemmPrepacked(false, m, n, k, 1, a, pb, 0, c, nil) })
 }
 
 func TestConvPrepackedZeroAllocs(t *testing.T) {
@@ -265,5 +265,14 @@ func TestConvPrepackedZeroAllocs(t *testing.T) {
 		[]float32{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1e-5, true)
 	assertZeroAllocs(t, "ConvForwardBatchedPrepacked/fused", func() {
 		ConvForwardBatchedPrepacked(x, wp, 3, epi, y, 1, 1, nil, 0)
+	})
+
+	// Bias-only epilogue on a wider plane.
+	x = tensor.New(4, 8, 16, 16)
+	x.FillPattern(0.1)
+	y = tensor.New(4, 16, 16, 16)
+	biasEpi := &Epilogue{Bias: make([]float32, 16)}
+	assertZeroAllocs(t, "ConvForwardBatchedPrepacked/bias", func() {
+		ConvForwardBatchedPrepacked(x, wp, 3, biasEpi, y, 1, 1, nil, 0)
 	})
 }

@@ -11,18 +11,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// inferNoFusion disables the prepacked/fused serving path when set: nets
-// built while it is true run every conv through the legacy pack-on-the-fly
-// ConvForwardBatched and execute batchnorm/ReLU as separate layers. The
-// fused path is bitwise identical to the legacy one (test-enforced), so the
-// knob exists for A/B benchmarking and for the equivalence tests themselves,
-// not for correctness escapes. Read once at NewInferNet.
-var inferNoFusion atomic.Bool
-
-// SetInferFusion toggles conv+BN+ReLU fusion and weight prepacking for
-// subsequently constructed InferNets (default on).
-func SetInferFusion(on bool) { inferNoFusion.Store(!on) }
-
 // InferNet is the forward-only execution engine behind the serving
 // subsystem: it runs an architecture in eval mode (batch normalization uses
 // running statistics) for any batch size up to a fixed capacity, with every
@@ -36,9 +24,11 @@ func SetInferFusion(on bool) { inferNoFusion.Store(!on) }
 //     sub-batch calls run on cached views of their prefix. Shape-preserving
 //     layers (batchnorm, ReLU) write in place when they are their parent's
 //     only consumer, so a ResNet block chain touches one buffer.
-//   - Convolutions use kernels.ConvForwardBatched: the whole micro-batch is
-//     lowered onto a single packed GEMM, which is where dynamic batching's
-//     throughput over batch-1 serving comes from.
+//   - Convolutions use kernels.ConvForwardBatchedPrepacked: the whole
+//     micro-batch is lowered onto a single packed GEMM against weights
+//     packed once, which is where dynamic batching's throughput over
+//     batch-1 serving comes from. A fusion plan folds batchnorm and ReLU
+//     into the GEMM's store epilogue.
 //   - No gradient or stash state exists at all; Params/Buffers expose the
 //     weights only so checkpoints can be restored into the net.
 //
@@ -61,7 +51,7 @@ type InferNet struct {
 
 // SetTrace attaches a flight-recorder ring: subsequent Forward calls emit
 // per-layer spans (and per-phase conv spans) on it when tracing is enabled.
-// Nil detaches; with no ring the forward path runs zero tracing hooks.
+// Nil detaches; with no ring Forward reads no clock and records nothing.
 func (n *InferNet) SetTrace(r *obs.Ring) { n.trace = r }
 
 // SetTraceID sets the correlation id stamped on subsequent spans; the
@@ -73,6 +63,17 @@ func (n *InferNet) SetTraceID(id uint64) { n.traceID = id }
 // NewSeqNet(seed=0) would; restore real ones with LoadState into
 // Params()/Buffers().
 func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
+	n, err := newInferNet(arch, maxBatch)
+	if err != nil {
+		return nil, err
+	}
+	n.planFusion()
+	return n, nil
+}
+
+// newInferNet builds the layers and the buffer plan without the fusion
+// plan: every layer runs as its own pass.
+func newInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 	if maxBatch < 1 {
 		return nil, fmt.Errorf("nn: infer net needs maxBatch >= 1, got %d", maxBatch)
 	}
@@ -90,23 +91,7 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 		cur:     make([]*tensor.Tensor, len(arch.Specs)),
 		fused:   make([]bool, len(arch.Specs)),
 	}
-	children := make([]int, len(arch.Specs))
-	childOf := make([]int, len(arch.Specs)) // sole consumer, or -1
-	for i := range childOf {
-		childOf[i] = -1
-	}
-	for i, s := range arch.Specs {
-		for _, p := range s.Parents {
-			children[p]++
-			childOf[p] = i
-		}
-	}
-	for i := range childOf {
-		if children[i] != 1 {
-			childOf[i] = -1
-		}
-	}
-	fusion := !inferNoFusion.Load()
+	childOf := soleConsumers(arch)
 	for i, s := range arch.Specs {
 		var in Shape
 		if len(s.Parents) > 0 {
@@ -117,8 +102,7 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 			n.layers[i] = nil // cur[0] is the caller's input tensor
 			continue
 		case KindConv:
-			l := &inferConv{spec: s, w: tensor.New(s.F, in.C, s.Geom.K, s.Geom.K),
-				legacy: !fusion, pack: &convPack{}}
+			l := &inferConv{spec: s, w: tensor.New(s.F, in.C, s.Geom.K, s.Geom.K), pack: &convPack{}}
 			fanIn := in.C * s.Geom.K * s.Geom.K
 			l.w.FillRandN(int64(i), float32(math.Sqrt(2.0/float64(fanIn))))
 			if s.Bias {
@@ -144,7 +128,7 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 		// children never alias it.
 		p := s.Parents[0]
 		inPlace := (s.Kind == KindBatchNorm || s.Kind == KindReLU) &&
-			p != 0 && children[p] == 1
+			p != 0 && childOf[p] >= 0
 		if inPlace {
 			n.bufs[i] = n.bufs[p]
 		} else {
@@ -154,47 +138,70 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 		n.views[i] = make([]*tensor.Tensor, maxBatch+1)
 		n.views[i][maxBatch] = n.bufs[i]
 	}
-	// Fusion plan (topology only; weights are untouched): a conv whose sole
-	// consumer is a batchnorm absorbs it into the GEMM's store epilogue, and
-	// the batchnorm's sole ReLU consumer rides along; a conv directly feeding
-	// its sole ReLU absorbs just the ReLU. The folded layers are exactly the
-	// layers the buffer plan above already runs in place (single-consumer
-	// shape-preserving children of the conv), so skipping them leaves their
-	// aliased buffers holding the conv's — now fused — output, and Forward's
-	// view bookkeeping needs no special cases.
-	if fusion {
-		for i, s := range arch.Specs {
-			j := childOf[i]
-			if j < 0 {
-				continue
-			}
-			switch s.Kind {
-			case KindConv:
-				cv := n.layers[i].(*inferConv)
-				switch arch.Specs[j].Kind {
-				case KindBatchNorm:
-					cv.fuseBN = n.layers[j].(*inferBN)
-					n.fused[j] = true
-					if r := childOf[j]; r >= 0 && arch.Specs[r].Kind == KindReLU {
-						cv.fuseReLU = true
-						n.fused[r] = true
-					}
-				case KindReLU:
+	return n, nil
+}
+
+// soleConsumers returns, per layer, the index of its only consumer, or -1
+// when it has none or several.
+func soleConsumers(arch *Arch) []int {
+	children := make([]int, len(arch.Specs))
+	childOf := make([]int, len(arch.Specs))
+	for i, s := range arch.Specs {
+		for _, p := range s.Parents {
+			children[p]++
+			childOf[p] = i
+		}
+	}
+	for i := range childOf {
+		if children[i] != 1 {
+			childOf[i] = -1
+		}
+	}
+	return childOf
+}
+
+// planFusion is the fusion plan (topology only; weights are untouched): a
+// conv whose sole consumer is a batchnorm absorbs it into the GEMM's store
+// epilogue, and the batchnorm's sole ReLU consumer rides along; a conv
+// directly feeding its sole ReLU absorbs just the ReLU. The folded layers
+// are exactly the layers the buffer plan already runs in place
+// (single-consumer shape-preserving children of the conv), so skipping them
+// leaves their aliased buffers holding the conv's — now fused — output, and
+// Forward's view bookkeeping needs no special cases. The fused forward is
+// bitwise equal to running every layer as its own pass (test-enforced).
+func (n *InferNet) planFusion() {
+	specs := n.Arch.Specs
+	childOf := soleConsumers(n.Arch)
+	for i, s := range specs {
+		j := childOf[i]
+		if j < 0 {
+			continue
+		}
+		switch s.Kind {
+		case KindConv:
+			cv := n.layers[i].(*inferConv)
+			switch specs[j].Kind {
+			case KindBatchNorm:
+				cv.fuseBN = n.layers[j].(*inferBN)
+				n.fused[j] = true
+				if r := childOf[j]; r >= 0 && specs[r].Kind == KindReLU {
 					cv.fuseReLU = true
-					n.fused[j] = true
+					n.fused[r] = true
 				}
-			case KindAdd:
-				// A residual add whose sole consumer is a ReLU applies it in
-				// the same elementwise pass (kernels.AddReLU, bitwise equal
-				// to the two separate passes).
-				if arch.Specs[j].Kind == KindReLU {
-					n.layers[i].(*inferAdd).relu = true
-					n.fused[j] = true
-				}
+			case KindReLU:
+				cv.fuseReLU = true
+				n.fused[j] = true
+			}
+		case KindAdd:
+			// A residual add whose sole consumer is a ReLU applies it in
+			// the same elementwise pass (kernels.AddReLU, bitwise equal
+			// to the two separate passes).
+			if specs[j].Kind == KindReLU {
+				n.layers[i].(*inferAdd).relu = true
+				n.fused[j] = true
 			}
 		}
 	}
-	return n, nil
 }
 
 // Repack drops every conv layer's prepacked weights and cached epilogue;
@@ -215,7 +222,7 @@ func (n *InferNet) Repack() {
 // parameter storage. Loading a checkpoint into any clone's Params updates
 // all of them — the server restores once and clones per replica.
 func (n *InferNet) Clone() (*InferNet, error) {
-	c, err := NewInferNet(n.Arch, n.maxN)
+	c, err := newInferNet(n.Arch, n.maxN)
 	if err != nil {
 		return nil, err
 	}
@@ -224,9 +231,8 @@ func (n *InferNet) Clone() (*InferNet, error) {
 			c.layers[i] = l.shareWeights()
 		}
 	}
-	// The clone executes n's fusion plan, not one rebuilt under the current
-	// knob state: its conv layers carry n's fuse fields, so the skip list
-	// must match them.
+	// The clone executes n's fusion plan: its conv and add layers carry n's
+	// fuse fields, so the skip list must match them.
 	copy(c.fused, n.fused)
 	return c, nil
 }
@@ -277,17 +283,12 @@ func (n *InferNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 			ins[j] = n.cur[p]
 		}
 		out := n.view(i, b)
+		var t int64
 		if n.trace != nil {
-			t := obs.Start()
-			if cv, ok := n.layers[i].(*inferConv); ok {
-				cv.forwardTraced(ins, out, n.trace, n.traceID)
-			} else {
-				n.layers[i].forward(ins, out)
-			}
-			n.trace.Record(layerStage(n.Arch.Specs[i].Kind), 0, n.traceID, t, int64(i))
-		} else {
-			n.layers[i].forward(ins, out)
+			t = obs.Start()
 		}
+		n.layers[i].forward(ins, out, n.trace, n.traceID)
+		n.trace.Record(layerStage(n.Arch.Specs[i].Kind), 0, n.traceID, t, int64(i))
 		n.cur[i] = out
 	}
 	n.cur[0] = nil // drop the caller's input: "never retained" is the contract
@@ -320,7 +321,9 @@ func (n *InferNet) Buffers() []Param {
 }
 
 type inferLayer interface {
-	forward(ins [2]*tensor.Tensor, out *tensor.Tensor)
+	// forward computes the layer into out; a non-nil tr receives the
+	// layer's kernel-phase spans tagged with id.
+	forward(ins [2]*tensor.Tensor, out *tensor.Tensor, tr *obs.Ring, id uint64)
 	params(name string) []Param
 	buffers(name string) []Param
 	// shareWeights returns a copy for another replica: shared read-only
@@ -350,7 +353,6 @@ type inferConv struct {
 	w    *tensor.Tensor
 	b    []float32
 
-	legacy   bool      // pack-on-the-fly ConvForwardBatched (fusion knob off)
 	fuseBN   *inferBN  // batchnorm folded into the epilogue; nil = none
 	fuseReLU bool      // ReLU folded into the epilogue
 	pack     *convPack // shared across clones
@@ -379,15 +381,7 @@ func (l *inferConv) packed() *packedConv {
 	return pc
 }
 
-func (l *inferConv) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
-	l.forwardTraced(ins, out, nil, 0)
-}
-
-func (l *inferConv) forwardTraced(ins [2]*tensor.Tensor, out *tensor.Tensor, tr *obs.Ring, id uint64) {
-	if l.legacy {
-		kernels.ConvForwardBatchedTraced(ins[0], l.w, l.b, out, l.spec.Geom.S, l.spec.Geom.Pad, tr, id)
-		return
-	}
+func (l *inferConv) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, tr *obs.Ring, id uint64) {
 	pc := l.packed()
 	kernels.ConvForwardBatchedPrepacked(ins[0], pc.pb, l.spec.Geom.K, pc.epi, out, l.spec.Geom.S, l.spec.Geom.Pad, tr, id)
 }
@@ -417,7 +411,7 @@ func (l *inferConv) params(name string) []Param {
 func (l *inferConv) buffers(string) []Param { return nil }
 func (l *inferConv) shareWeights() inferLayer {
 	return &inferConv{spec: l.spec, w: l.w, b: l.b,
-		legacy: l.legacy, fuseBN: l.fuseBN, fuseReLU: l.fuseReLU, pack: l.pack}
+		fuseBN: l.fuseBN, fuseReLU: l.fuseReLU, pack: l.pack}
 }
 
 type inferBN struct {
@@ -439,7 +433,7 @@ func newInferBN(c int) *inferBN {
 	return l
 }
 
-func (l *inferBN) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
+func (l *inferBN) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, _ *obs.Ring, _ uint64) {
 	// The kernel derives mean/invstd from the running statistics on every
 	// call (O(C) against the O(N*C*H*W) normalization, scratch from the
 	// pooled workspace), so restored checkpoints are correct without an
@@ -468,7 +462,7 @@ func (l *inferBN) shareWeights() inferLayer {
 
 type inferReLU struct{}
 
-func (l *inferReLU) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
+func (l *inferReLU) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, _ *obs.Ring, _ uint64) {
 	kernels.ReLUForward(ins[0], out)
 }
 func (l *inferReLU) params(string) []Param    { return nil }
@@ -477,7 +471,7 @@ func (l *inferReLU) shareWeights() inferLayer { return l }
 
 type inferMaxPool struct{ spec Spec }
 
-func (l *inferMaxPool) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
+func (l *inferMaxPool) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, _ *obs.Ring, _ uint64) {
 	kernels.MaxPoolForward(ins[0], out, l.spec.Geom.K, l.spec.Geom.S, l.spec.Geom.Pad, nil)
 }
 func (l *inferMaxPool) params(string) []Param    { return nil }
@@ -486,7 +480,7 @@ func (l *inferMaxPool) shareWeights() inferLayer { return l }
 
 type inferGAP struct{}
 
-func (l *inferGAP) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
+func (l *inferGAP) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, _ *obs.Ring, _ uint64) {
 	kernels.GlobalAvgPoolForward(ins[0], out)
 }
 func (l *inferGAP) params(string) []Param    { return nil }
@@ -497,7 +491,7 @@ type inferAdd struct {
 	relu bool // apply the folded sole-consumer ReLU in the same pass
 }
 
-func (l *inferAdd) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
+func (l *inferAdd) forward(ins [2]*tensor.Tensor, out *tensor.Tensor, _ *obs.Ring, _ uint64) {
 	if l.relu {
 		kernels.AddReLU(ins[0], ins[1], out)
 		return

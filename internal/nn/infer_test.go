@@ -218,11 +218,11 @@ func TestInferNetForwardZeroAllocs(t *testing.T) {
 }
 
 // TestInferNetFusionBitwiseMatchesLegacy is the acceptance test for the
-// prepacked/fused serving path: an InferNet built with fusion on (prepacked
-// weights, conv+BN+ReLU folded into the GEMM store epilogue) must produce
-// bit-for-bit the output of one built with fusion off (pack-on-the-fly
-// ConvForwardBatched, batchnorm and ReLU as separate full passes), for every
-// batch size. The arch covers all three fusion shapes: conv+BN+ReLU (stem),
+// fused serving path: an InferNet with its fusion plan (conv+BN+ReLU folded
+// into the GEMM store epilogue) must produce bit-for-bit the output of one
+// built without it (batchnorm and ReLU as separate full passes), for every
+// batch size, and so must a Clone of the fused net, which runs its source's
+// plan. The arch covers all three fusion shapes: conv+BN+ReLU (stem),
 // conv+BN whose batchnorm feeds an Add (b2a), and an unfused biased conv
 // (cls).
 func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
@@ -238,26 +238,47 @@ func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	build := func(fusion bool) *InferNet {
-		SetInferFusion(fusion)
-		defer SetInferFusion(true)
-		inf, err := NewInferNet(arch, maxN)
-		if err != nil {
-			t.Fatal(err)
-		}
+	unfused, err := newInferNet(arch, maxN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := NewInferNet(arch, maxN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inf := range []*InferNet{unfused, fused} {
 		if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, inf.Params(), inf.Buffers()); err != nil {
 			t.Fatal(err)
 		}
-		return inf
 	}
-	legacy := build(false)
-	fused := build(true)
+	clone, err := fused.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nFused := 0
+	for i := range fused.fused {
+		if unfused.fused[i] {
+			t.Fatalf("layer %d folded in the net built without a fusion plan", i)
+		}
+		if clone.fused[i] != fused.fused[i] {
+			t.Fatalf("layer %d: clone fused=%v, source fused=%v", i, clone.fused[i], fused.fused[i])
+		}
+		if fused.fused[i] {
+			nFused++
+		}
+	}
+	if nFused == 0 {
+		t.Fatal("fusion plan folded no layer")
+	}
 
 	for _, b := range []int{1, 3, maxN} {
 		x := tensor.New(b, 3, size, size)
 		x.FillRandN(int64(b), 1)
-		if d := fused.Forward(x).MaxAbsDiff(legacy.Forward(x)); d != 0 {
-			t.Fatalf("batch %d: fused forward differs from legacy: max abs diff %g, want bitwise identity", b, d)
+		want := unfused.Forward(x)
+		for name, inf := range map[string]*InferNet{"fused": fused, "clone": clone} {
+			if d := inf.Forward(x).MaxAbsDiff(want); d != 0 {
+				t.Fatalf("batch %d: %s forward differs from unfused: max abs diff %g, want bitwise identity", b, name, d)
+			}
 		}
 	}
 }

@@ -48,9 +48,9 @@ const (
 	StageGather    // result left the leader -> claimed by the collector
 
 	// Comm substrate.
-	StageSend          // one point-to-point send (eager, near-zero duration)
-	StageRecv          // receive wait: blocked until the message arrived
-	StageAllreduce     // blocking collectives, by kind
+	StageSend      // one point-to-point send (eager, near-zero duration)
+	StageRecv      // receive wait: blocked until the message arrived
+	StageAllreduce // blocking collectives, by kind
 	StageBcast
 	StageReduce
 	StageCollGather
@@ -64,11 +64,9 @@ const (
 	StageLayerConv  // one conv layer forward (contains the gemm phases)
 	StageLayerBN    // one batchnorm layer forward
 	StageLayerOther // any other layer forward (relu/pool/add/...)
-	StageIm2col     // batched im2col lowering
 	StageGemmPackA  // packing A micro-panels (one span per K panel)
-	StageGemmPackB  // packing B strips (one span per (K,N) panel)
 	StageGemmKernel // microkernel sweep (one span per (K,N) panel)
-	StageUnshuffle  // batched conv output unshuffle + bias
+	StageUnshuffle  // batched conv output unshuffle to NCHW
 
 	numStages
 )
@@ -95,9 +93,7 @@ var stageNames = [numStages]string{
 	StageLayerConv:     "layer_conv",
 	StageLayerBN:       "layer_bn",
 	StageLayerOther:    "layer",
-	StageIm2col:        "im2col",
 	StageGemmPackA:     "gemm_pack_a",
-	StageGemmPackB:     "gemm_pack_b",
 	StageGemmKernel:    "gemm_kernel",
 	StageUnshuffle:     "unshuffle",
 }

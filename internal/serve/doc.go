@@ -111,10 +111,10 @@
 //     are pre-seeded at fleet start. After warm-up an in-process Predict
 //     performs no heap allocations end to end (TestPredictZeroAllocs).
 //   - Row determinism: a request's answer is bitwise independent of the
-//     batch it was coalesced into (kernels.GemmNNStable), and — for
-//     filter-split shards — bitwise independent of WHICH replica answered:
-//     a sharded replica's assembled output is bit-identical to an unsharded
-//     one's (TestFleetShardedReplicaBitwise).
+//     batch it was coalesced into (kernels.ConvForwardBatchedPrepacked),
+//     and — for filter-split shards — bitwise independent of WHICH replica
+//     answered: a sharded replica's assembled output is bit-identical to an
+//     unsharded one's (TestFleetShardedReplicaBitwise).
 //   - Bounded latency: once a batch opens, it flushes within BatchDeadline
 //     even at arrival rate zero; admission caps bound queueing on top.
 //   - Close drains: every request admitted before Close resolves — served,
@@ -228,7 +228,7 @@
 // atomic load per hook. When enabled it records spans for the request
 // lifecycle on the front-end track (admission, batch formation, route,
 // gather), wire and compute on each replica leader's track, per-layer and
-// GEMM/im2col phases on every replica rank, and comm sends/collectives —
+// GEMM/unshuffle phases on every replica rank, and comm sends/collectives —
 // all tagged with the batch's sequence number, so one request correlates
 // across layers and ranks. GET /tracez?dur=1s (or cmd/serve -trace-out)
 // captures a window and emits Chrome trace-event JSON: load it in Perfetto

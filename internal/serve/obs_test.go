@@ -89,7 +89,7 @@ func TestTraceEndToEndAcrossLayers(t *testing.T) {
 			case obs.StageWire:
 				haveWire = true
 			case obs.StageLayerConv, obs.StageLayerBN, obs.StageLayerOther,
-				obs.StageGemmKernel, obs.StageIm2col:
+				obs.StageGemmKernel, obs.StageUnshuffle:
 				haveKernel = true
 			}
 		}
